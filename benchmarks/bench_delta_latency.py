@@ -14,6 +14,11 @@ small batches — where PR 1's batcher cannot amortize the scans:
 2. **Cross-engine equivalence** — naive, first-order, per-aggregate and
    F-IVM (indexes on *and* off) consume the same stream; all final
    results must agree. This is asserted and is what CI gates on.
+3. **Relational payloads** — per-update latency of the two apps that
+   maintain the generalized cofactor ring with relational values on the
+   per-tuple path: Retailer COVAR over the Figure-2b features at batch
+   200 and Favorita MI at batch 500 (the serving recipes). Each final
+   result is checked against a fresh engine on the stream's end state.
 
 ``--json PATH`` writes the measurements as a small JSON artifact
 (updates/s per engine / ingest mode) that CI uploads to track the perf
@@ -50,6 +55,7 @@ from repro.engine import (
     PerAggregateEngine,
 )
 from repro.rings import CountSpec, CovarSpec
+from repro.serving import build_serving_scenario
 
 # Sibling views on the Inventory path (V_Item, V_Weather, V@zip) must be
 # large enough that per-update scans dominate fixed Python overhead —
@@ -189,6 +195,49 @@ def bench_equivalence(database, config, order, total_updates, batch_size, record
     print("all engines agree with indexes on and off ✓")
 
 
+#: (dataset, payload, batch size, updates in full mode, in smoke mode)
+RELATIONAL_RECIPES = (
+    ("retailer", "covar", 200, 3000, 600),
+    ("favorita", "mi", 500, 5000, 1500),
+)
+
+
+def bench_relational_payloads(smoke, records):
+    """Per-tuple maintenance in the relational cofactor ring."""
+    print("\n## relational-payload per-update latency (serving recipes)")
+    for dataset, payload, batch_size, full_updates, smoke_updates in RELATIONAL_RECIPES:
+        scenario = build_serving_scenario(dataset, payload)
+        stream = scenario.stream(batch_size=batch_size)
+        events = list(stream.tuples(smoke_updates if smoke else full_updates))
+        engine = FIVMEngine(scenario.query, order=scenario.order)
+        engine.initialize(scenario.database)
+        started = time.perf_counter()
+        engine.apply_stream(iter(events), batch_size=batch_size)
+        elapsed = time.perf_counter() - started
+        oracle = FIVMEngine(scenario.query, order=scenario.order)
+        oracle.initialize(stream.shadow)
+        assert engine.result().close_to(oracle.result(), 1e-6), (
+            f"{dataset} {payload}: maintained result diverged from recomputation"
+        )
+        latency_us = 1e6 * elapsed / len(events)
+        label = f"fivm-{dataset}-{payload}"
+        print(
+            f"{label:>20} batch {batch_size:>4}: {len(events) / elapsed:>8.0f} "
+            f"updates/s, {latency_us:>7.1f} µs/update"
+        )
+        records.append(
+            {
+                "engine": label,
+                "ingest": "stream",
+                "batch_size": batch_size,
+                "updates": len(events),
+                "seconds": round(elapsed, 6),
+                "updates_per_s": round(len(events) / elapsed, 1),
+                "latency_us": round(latency_us, 2),
+            }
+        )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="tiny sizes, CI gate")
@@ -218,6 +267,7 @@ def main(argv=None) -> int:
         args.equivalence_batch,
         records,
     )
+    bench_relational_payloads(args.smoke, records)
     if not args.smoke and speedup < 5.0:
         print(
             f"\nWARNING: batch-1 view-index speedup {speedup:.1f}x "

@@ -186,7 +186,12 @@ def _from_relational(payload: GeneralCofactor, plan: PayloadPlan) -> CovarMatrix
         else:
             sums[col_index[Column(attr)]] = s_value.annotation(())
 
-    def set_moment(i: int, j: int, value: float) -> None:
+    def set_moment(i: Optional[int], j: Optional[int], value: float) -> None:
+        if i is None or j is None:
+            # A category whose count cancelled to 0 has no column: with no
+            # rows, all its moments are 0, whatever float residue deletes
+            # left in Q.
+            return
         moments[i, j] = value
         moments[j, i] = value
 
@@ -202,16 +207,16 @@ def _from_relational(payload: GeneralCofactor, plan: PayloadPlan) -> CovarMatrix
                 # Diagonal block of a categorical attribute: counts per
                 # category; distinct one-hot columns are orthogonal.
                 for key, annotation in q_value.data.items():
-                    index = col_index[Column(attr_i, key[0])]
+                    index = col_index.get(Column(attr_i, key[0]))
                     set_moment(index, index, annotation)
             else:
-                index = col_index[Column(attr_i)]
+                index = col_index.get(Column(attr_i))
                 set_moment(index, index, q_value.annotation(()))
             continue
         if not cat_i and not cat_j:
             set_moment(
-                col_index[Column(attr_i)],
-                col_index[Column(attr_j)],
+                col_index.get(Column(attr_i)),
+                col_index.get(Column(attr_j)),
                 q_value.annotation(()),
             )
         elif cat_i and cat_j:
@@ -222,8 +227,8 @@ def _from_relational(payload: GeneralCofactor, plan: PayloadPlan) -> CovarMatrix
             pos_j = schema.index(attr_j)
             for key, annotation in q_value.data.items():
                 set_moment(
-                    col_index[Column(attr_i, key[pos_i])],
-                    col_index[Column(attr_j, key[pos_j])],
+                    col_index.get(Column(attr_i, key[pos_i])),
+                    col_index.get(Column(attr_j, key[pos_j])),
                     annotation,
                 )
         else:
@@ -231,8 +236,8 @@ def _from_relational(payload: GeneralCofactor, plan: PayloadPlan) -> CovarMatrix
             cont_attr = attr_j if cat_i else attr_i
             for key, annotation in q_value.data.items():
                 set_moment(
-                    col_index[Column(cat_attr, key[0])],
-                    col_index[Column(cont_attr)],
+                    col_index.get(Column(cat_attr, key[0])),
+                    col_index.get(Column(cont_attr)),
                     annotation,
                 )
     return CovarMatrix(tuple(columns), count, sums, moments)

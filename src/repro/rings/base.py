@@ -20,7 +20,7 @@ insert-only maintenance.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, Sequence
+from typing import Any, Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -103,6 +103,26 @@ class Ring(ABC):
         the pure :meth:`add`. Engines use this in marginalization loops.
         """
         return self.add(a, b)
+
+    def mul_entries(self, entries: Dict[Any, Any], factor: Any) -> Dict[Any, Any]:
+        """Return ``{key: value * factor}`` over a map of payloads, with
+        zero products dropped.
+
+        Compound rings (the generalized cofactor ring) scale whole vectors
+        and matrices of payloads through this; the caller may accumulate
+        into the returned values with :meth:`add_inplace` as long as
+        :meth:`mul` returns values the caller owns.
+        """
+        if self.is_zero(factor):
+            return {}
+        mul = self.mul
+        is_zero = self.is_zero
+        result = {}
+        for key, value in entries.items():
+            product = mul(value, factor)
+            if not is_zero(product):
+                result[key] = product
+        return result
 
     def eq(self, a: Any, b: Any) -> bool:
         """Return whether two payloads are equal as ring values."""

@@ -354,6 +354,17 @@ class GeneralCofactorRing(Ring):
     values": continuous attributes store ``{() -> x}`` scalars, categorical
     attributes store ``{x -> 1}`` indicator relations, and the interaction
     entries come out as group-by aggregates (e.g. ``SUM(B) GROUP BY C``).
+
+    :meth:`mul` scales whole ``s``/``Q`` maps through the scalar ring's
+    :meth:`~repro.rings.base.Ring.mul_entries` and accumulates the b-side
+    and cross terms in place, into entries the product itself created. Its
+    result is fresh; operands and the entries they hold are never mutated,
+    so payloads shared with published snapshots stay intact; and every
+    scalar operation runs in the same order as the pure formulation
+    ``cb*sa + ca*sb``, ``cb*Qa + ca*Qb + sa sb^T + sb sa^T``, so results
+    are bit-identical to it. :meth:`add_inplace` mutates only the payload's
+    own ``s``/``Q`` maps, never their entries, which a shallow
+    :meth:`copy` shares.
     """
 
     def __init__(self, scalar: Ring, layout: CofactorLayout):
@@ -364,28 +375,18 @@ class GeneralCofactorRing(Ring):
 
     # -- helpers -------------------------------------------------------
 
-    def _merge(self, into: Dict, source: Dict) -> None:
-        """Accumulate ``source`` into ``into`` entry-wise (pure scalar adds)."""
-        scalar = self.scalar
+    def _merge(self, into: Dict, source: Dict, add) -> None:
+        """Accumulate ``source`` into ``into`` entry-wise with ``add``: the
+        scalar ring's pure add, or its add_inplace where ``into`` holds only
+        entries its caller owns."""
+        is_zero = self.scalar.is_zero
         for key, value in source.items():
             existing = into.get(key)
-            total = value if existing is None else scalar.add(existing, value)
-            if scalar.is_zero(total):
+            total = value if existing is None else add(existing, value)
+            if is_zero(total):
                 into.pop(key, None)
             else:
                 into[key] = total
-
-    def _scaled(self, entries: Dict, factor: Any) -> Dict:
-        """Entry-wise scalar multiplication by ``factor``, dropping zeros."""
-        scalar = self.scalar
-        if scalar.is_zero(factor):
-            return {}
-        result = {}
-        for key, value in entries.items():
-            product = scalar.mul(value, factor)
-            if not scalar.is_zero(product):
-                result[key] = product
-        return result
 
     # -- ring interface --------------------------------------------------
 
@@ -396,16 +397,19 @@ class GeneralCofactorRing(Ring):
         return GeneralCofactor(self.scalar.one(), {}, {})
 
     def add(self, a: GeneralCofactor, b: GeneralCofactor) -> GeneralCofactor:
+        add = self.scalar.add
         s = dict(a.s)
-        self._merge(s, b.s)
+        self._merge(s, b.s, add)
         q = dict(a.q)
-        self._merge(q, b.q)
-        return GeneralCofactor(self.scalar.add(a.c, b.c), s, q)
+        self._merge(q, b.q, add)
+        return GeneralCofactor(add(a.c, b.c), s, q)
 
     def add_inplace(self, a: GeneralCofactor, b: GeneralCofactor) -> GeneralCofactor:
-        a.c = self.scalar.add(a.c, b.c)
-        self._merge(a.s, b.s)
-        self._merge(a.q, b.q)
+        # Pure adds: a shallow copy() shares its entries with the original.
+        add = self.scalar.add
+        a.c = add(a.c, b.c)
+        self._merge(a.s, b.s, add)
+        self._merge(a.q, b.q, add)
         return a
 
     def copy(self, a: GeneralCofactor) -> GeneralCofactor:
@@ -414,10 +418,16 @@ class GeneralCofactorRing(Ring):
     def mul(self, a: GeneralCofactor, b: GeneralCofactor) -> GeneralCofactor:
         scalar = self.scalar
         c = scalar.mul(a.c, b.c)
-        s = self._scaled(a.s, b.c)
-        self._merge(s, self._scaled(b.s, a.c))
-        q = self._scaled(a.q, b.c)
-        self._merge(q, self._scaled(b.q, a.c))
+        # Every entry of s and q is a fresh product owned by the result
+        # (Ring.mul_entries / Ring.mul), so the b-side terms accumulate in
+        # place; operand entries are only read.
+        s = scalar.mul_entries(a.s, b.c)
+        q = scalar.mul_entries(a.q, b.c)
+        if b.q:
+            self._merge(q, scalar.mul_entries(b.q, a.c), scalar.add_inplace)
+        if not b.s:
+            return GeneralCofactor(c, s, q)
+        self._merge(s, scalar.mul_entries(b.s, a.c), scalar.add_inplace)
         # The symmetric cross term sa sb^T + sb sa^T, folded onto the upper
         # triangle: entry (i, j) with i < j receives sa_i*sb_j and sa_j*sb_i;
         # the diagonal receives 2 * sa_i*sb_i.
@@ -432,7 +442,7 @@ class GeneralCofactorRing(Ring):
                 else:
                     key = (i, j) if i < j else (j, i)
                 existing = q.get(key)
-                total = term if existing is None else scalar.add(existing, term)
+                total = term if existing is None else scalar.add_inplace(existing, term)
                 if scalar.is_zero(total):
                     q.pop(key, None)
                 else:

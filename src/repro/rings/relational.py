@@ -144,6 +144,20 @@ class RelationRing(Ring):
     Join plans — the index arithmetic for combining two schemas — are cached
     per schema pair, since the cofactor ring multiplies the same slot shapes
     millions of times during maintenance.
+
+    Most products in the cofactor ring have a 0-ary operand ``{() -> x}``
+    (a count or a continuous value), which only scales the other operand.
+    :meth:`mul` and :meth:`mul_entries` take that case in one pass over the
+    annotations instead of the generic :meth:`_join`. Every path keeps the
+    same contract:
+
+    - results are fresh: :meth:`mul` returns either the shared empty zero
+      (which :meth:`add_inplace` never mutates) or a new value the caller
+      owns, never an operand; :meth:`mul_entries` returns only new values;
+    - operands are never mutated, and neither are the zero/one singletons;
+    - float operations are unchanged: the fast paths form the same
+      annotation products, key by key in the same order, as the join, so
+      their results are bit-identical to it.
     """
 
     name = "Rel"
@@ -209,6 +223,18 @@ class RelationRing(Ring):
     def mul(self, a: RelationValue, b: RelationValue) -> RelationValue:
         if not a.data or not b.data:
             return _ZERO
+        if not a.schema:
+            (x,) = a.data.values()
+            return _scaled_by(b, x)
+        if not b.schema:
+            (x,) = b.data.values()
+            return _scaled_by(a, x)
+        return self._join(a, b)
+
+    def _join(self, a: RelationValue, b: RelationValue) -> RelationValue:
+        """The generic natural join behind :meth:`mul`, for any schemas."""
+        if not a.data or not b.data:
+            return _ZERO
         shared_a, shared_b, sources, result_schema = self._plan(a.schema, b.schema)
         result: Dict[Key, float] = {}
         if shared_a:
@@ -245,6 +271,19 @@ class RelationRing(Ring):
         value.data = result
         value.schema = result_schema if result else None
         return value
+
+    def mul_entries(self, entries: Dict, factor: RelationValue) -> Dict:
+        if not factor.data:
+            return {}
+        if factor.schema:
+            return super().mul_entries(entries, factor)
+        (x,) = factor.data.values()
+        result = {}
+        for key, value in entries.items():
+            product = _scaled_by(value, x)
+            if product.data:
+                result[key] = product
+        return result
 
     def neg(self, a: RelationValue) -> RelationValue:
         if not a.data:
@@ -317,6 +356,27 @@ class RelationRing(Ring):
             plan = (shared_a, shared_b, sources, result_schema)
             self._join_plans[cache_key] = plan
         return plan
+
+
+def _scaled_by(value: RelationValue, x) -> RelationValue:
+    """``value * {() -> x}`` as a fresh relation.
+
+    This is what the generic join computes for a 0-ary operand, key for key
+    and in the same key order. Python's products of numbers are commutative
+    bit for bit, so ``ann * x`` equals the join's ``x * ann``, and an int
+    factor 1 leaves every annotation as it is. A product of two non-zero
+    annotations vanishes only by float underflow; such keys are dropped.
+    """
+    if x == 1 and type(x) is int:
+        data = value.data.copy()
+    else:
+        data = {key: ann * x for key, ann in value.data.items()}
+        if 0 in data.values():
+            data = {key: ann for key, ann in data.items() if ann != 0}
+    result = RelationValue.__new__(RelationValue)
+    result.data = data
+    result.schema = value.schema if data else None
+    return result
 
 
 _ZERO = RelationValue()

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import threading
 import time
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
@@ -56,6 +57,8 @@ from repro.rings.specs import CovarSpec, MISpec
 from repro.serving.snapshot import EngineSnapshot
 
 __all__ = ["ServingApp", "SnapshotServer", "ServerThread", "IngestThread"]
+
+_log = logging.getLogger(__name__)
 
 
 def _coerce(text: str) -> Any:
@@ -234,6 +237,11 @@ class ServingApp:
             status, body = self._dispatch(path, params)
         except (EngineError, FIVMError) as exc:
             status, body = 500, {"error": str(exc)}
+        except Exception as exc:
+            # Any other failure still answers: the HTTP layer would
+            # otherwise drop the connection without a response.
+            _log.exception("unhandled error serving %s", path)
+            status, body = 500, {"error": f"{type(exc).__name__}: {exc}"}
         if status >= 400:
             self.errors += 1
         return status, body

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.data import RelationSchema
-from repro.datasets import toy_database, toy_variable_order
+from repro.data import Relation, RelationSchema
+from repro.datasets import (
+    RetailerConfig,
+    generate_retailer,
+    retailer_query,
+    retailer_variable_order,
+    toy_database,
+    toy_variable_order,
+)
+from repro.datasets.retailer import regression_features
 from repro.engine import FIVMEngine
 from repro.errors import FIVMError
 from repro.ml import Column, covar_from_payload
@@ -111,6 +119,50 @@ class TestRelationalExtraction:
             i_num = numeric.index(attrs[0])
             j_num = numeric.index(attrs[1])
             assert mixed.moments[i_mixed, j_mixed] == numeric.moments[i_num, j_num]
+
+
+class TestCancelledCategory:
+    """Deletes that cancel a category's count exactly can leave a float
+    residue in its cross-moments; the category must simply vanish."""
+
+    def test_cancelled_ksn_matches_recomputation(self):
+        config = RetailerConfig(locations=4, dates=5, items=8, inventory_rows=60, seed=3)
+        database = generate_retailer(config)
+        features, _label = regression_features()
+        query = retailer_query(CovarSpec(features))
+        engine = FIVMEngine(query, order=retailer_variable_order())
+        engine.initialize(database)
+        # A new item ksn=99 at prices with no exact binary representation,
+        # sold at three existing (locn, dateid) pairs.
+        rows = [("Item", (99, 1, 1, 1, price)) for price in (1.1, 2.2, 3.3)]
+        rows += [
+            ("Inventory", (locn, dateid, 99, 5 + i))
+            for i, (locn, dateid, _ksn, _units) in enumerate(
+                list(database.relation("Inventory").data)[:3]
+            )
+        ]
+        for sign in (1, -1):
+            for name, row in rows:
+                delta = Relation.from_tuples(database.relation(name).schema, [row])
+                engine.apply(name, delta if sign > 0 else delta.neg())
+        payload = engine.result().payload(())
+        ksn_slot = engine.plan.layout.index("ksn")
+        assert (99,) not in payload.s[ksn_slot].data
+        assert any(
+            99 in key
+            for (i, j), value in payload.q.items()
+            if ksn_slot in (i, j)
+            for key in value.data
+        ), "the stream no longer leaves a residue; pick other prices"
+
+        maintained = covar_from_payload(payload, engine.plan)
+        fresh = FIVMEngine(query, order=retailer_variable_order())
+        fresh.initialize(database)
+        expected = covar_from_payload(fresh.result().payload(()), fresh.plan)
+        assert maintained.columns == expected.columns
+        assert maintained.count == expected.count
+        assert np.allclose(maintained.sums, expected.sums)
+        assert np.allclose(maintained.moments, expected.moments)
 
 
 class TestErrors:

@@ -1,7 +1,7 @@
 """The generalized cofactor ring (over float and relational scalars)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.rings import (
@@ -12,7 +12,9 @@ from repro.rings import (
     RelationRing,
     RelationValue,
 )
-from repro.rings.base import check_ring_axioms
+from repro.rings.base import Ring, check_ring_axioms
+from repro.rings.cofactor import GeneralCofactor
+from repro.rings.relational import _ONE, _ZERO
 
 LAYOUT = CofactorLayout(("B", "C", "D"))
 
@@ -218,3 +220,155 @@ def relational_cofactors():
 @given(relational_cofactors(), relational_cofactors(), relational_cofactors())
 def test_composed_ring_axioms(a, b, c):
     check_ring_axioms(REL_RING, a, b, c)
+
+
+# ----------------------------------------------------------------------
+# Fast paths: GeneralCofactorRing.mul against the pure formulation
+# ----------------------------------------------------------------------
+
+
+class GenericJoinRing(RelationRing):
+    """Relational scalar ring whose every product takes the generic join."""
+
+    def mul(self, a, b):
+        return self._join(a, b)
+
+    mul_entries = Ring.mul_entries
+
+
+def reference_mul(a, b):
+    """``a * b`` with per-entry generic joins and pure adds only."""
+    scalar = GenericJoinRing()
+
+    def scaled(entries, factor):
+        out = {}
+        for key, value in entries.items():
+            product = scalar.mul(value, factor)
+            if not scalar.is_zero(product):
+                out[key] = product
+        return out
+
+    def merge(into, source):
+        for key, value in source.items():
+            existing = into.get(key)
+            total = value if existing is None else scalar.add(existing, value)
+            if scalar.is_zero(total):
+                into.pop(key, None)
+            else:
+                into[key] = total
+
+    s = scaled(a.s, b.c)
+    merge(s, scaled(b.s, a.c))
+    q = scaled(a.q, b.c)
+    merge(q, scaled(b.q, a.c))
+    for i, sa_i in a.s.items():
+        for j, sb_j in b.s.items():
+            term = scalar.mul(sa_i, sb_j)
+            if scalar.is_zero(term):
+                continue
+            if i == j:
+                merge(q, {(i, i): scalar.add(term, term)})
+            else:
+                merge(q, {(min(i, j), max(i, j)): term})
+    return GeneralCofactor(scalar.mul(a.c, b.c), s, q)
+
+
+#: Slot 0 (B) continuous, slots 1 (C) and 2 (D) categorical.
+S_SCHEMAS = {0: (), 1: ("C",), 2: ("D",)}
+Q_SCHEMAS = {
+    (0, 0): (),
+    (0, 1): ("C",),
+    (0, 2): ("D",),
+    (1, 1): ("C",),
+    (1, 2): ("C", "D"),
+    (2, 2): ("D",),
+}
+#: Small ints cancel exactly; 0.1-style floats have no exact binary form;
+#: the tiny ones make products underflow to 0.
+ANNOTATIONS = st.one_of(
+    st.integers(-2, 2).filter(bool),
+    st.sampled_from([0.1, -0.1, 0.2, 0.3, -1e-200, 1e-170]),
+    st.floats(-1e3, 1e3, allow_nan=False).filter(bool),
+)
+
+
+def entries_over(schema):
+    keys = st.tuples(*(st.integers(0, 1) for _ in schema))
+    value = st.dictionaries(keys, ANNOTATIONS, max_size=3).map(
+        lambda data: RelationValue(schema, data)
+    )
+    return st.one_of(value, st.just(_ONE)) if not schema else value
+
+
+def general_cofactors():
+    """Raw payloads: any subset of slots, possibly empty entries."""
+    return st.builds(
+        GeneralCofactor,
+        st.one_of(entries_over(()), st.just(_ZERO)),
+        st.fixed_dictionaries(
+            {}, optional={k: entries_over(v) for k, v in S_SCHEMAS.items()}
+        ),
+        st.fixed_dictionaries(
+            {}, optional={k: entries_over(v) for k, v in Q_SCHEMAS.items()}
+        ),
+    )
+
+
+def rel_bits(value):
+    return value.schema, [
+        (key, type(ann).__name__, ann.hex() if isinstance(ann, float) else ann)
+        for key, ann in value.data.items()
+    ]
+
+
+def payload_bits(payload):
+    """The payload in key order, floats by their exact bits."""
+    return (
+        rel_bits(payload.c),
+        [(key, rel_bits(value)) for key, value in payload.s.items()],
+        [(key, rel_bits(value)) for key, value in payload.q.items()],
+    )
+
+
+CANCEL_A = GeneralCofactor(
+    RelationValue.scalar(1),
+    {0: RelationValue.scalar(2), 1: RelationValue.indicator("C", 0)},
+    {(0, 1): RelationValue(("C",), {(0,): 0.1})},
+)
+CANCEL_B = GeneralCofactor(
+    RelationValue.scalar(-1),
+    {0: RelationValue.scalar(2), 1: RelationValue.indicator("C", 0)},
+    {(0, 1): RelationValue(("C",), {(0,): 0.1})},
+)
+UNDERFLOW_A = GeneralCofactor(RelationValue.scalar(1e-200), {}, {})
+UNDERFLOW_B = GeneralCofactor(
+    _ONE,
+    {2: RelationValue(("D",), {(0,): 1e-170, (1,): 0.5})},
+    {(2, 2): RelationValue(("D",), {(0,): 1e-170})},
+)
+
+
+@given(general_cofactors(), general_cofactors())
+@example(CANCEL_A, CANCEL_B)  # b's terms cancel s_0, s_1 and Q_01 exactly
+@example(CANCEL_B, CANCEL_A)
+@example(UNDERFLOW_A, UNDERFLOW_B)  # s_2 loses a key, Q_22 vanishes
+@example(UNDERFLOW_B, UNDERFLOW_A)
+def test_relational_mul_is_the_pure_formulation_bit_for_bit(a, b):
+    ring = GeneralCofactorRing(RelationRing(), LAYOUT)
+    before = payload_bits(a), payload_bits(b)
+    product = ring.mul(a, b)
+    assert payload_bits(product) == payload_bits(reference_mul(a, b))
+    assert (payload_bits(a), payload_bits(b)) == before
+    assert rel_bits(_ZERO) == (None, [])
+    assert rel_bits(_ONE) == ((), [((), "int", 1)])
+    operand_data = {
+        id(value.data)
+        for payload in (a, b)
+        for value in (payload.c, *payload.s.values(), *payload.q.values())
+    }
+    product_data = {
+        id(value.data)
+        for value in (product.c, *product.s.values(), *product.q.values())
+        if value is not _ZERO
+    }
+    assert not operand_data & product_data

@@ -1,12 +1,13 @@
 """The relational ring: union as +, natural join as *."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import RingError
 from repro.rings import RelationRing, RelationValue
 from repro.rings.base import check_ring_axioms
+from repro.rings.relational import _ONE, _ZERO
 
 
 @pytest.fixture
@@ -201,3 +202,145 @@ def test_mixed_schema_mul_axioms(a, b, c):
     assert ring.eq(ring.mul(a, ring.mul(b, c)), ring.mul(ring.mul(a, b), c))
     assert ring.eq(ring.mul(b, c), ring.mul(c, b))
     assert ring.eq(ring.mul(a, b), ring.mul(b, a))
+
+
+# ----------------------------------------------------------------------
+# Fast paths: bit for bit the generic join, operands left untouched
+# ----------------------------------------------------------------------
+
+#: Small ints cancel exactly; 0.1-style floats have no exact binary form;
+#: the tiny ones make products underflow to 0.
+ANNOTATIONS = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from([0.1, -0.1, 0.3, 2.5, -1e-200, 1e-170, 3e-160]),
+    st.floats(-1e6, 1e6, allow_nan=False).filter(bool),
+)
+#: 0-ary, disjoint and shared schemas.
+SCHEMAS = ((), ("X",), ("Y",), ("X", "Y"), ("Y", "Z"))
+
+
+def annotated(schema):
+    """Relation values over ``schema``, possibly empty."""
+    keys = st.tuples(*(st.integers(0, 2) for _ in schema))
+    return st.dictionaries(keys, ANNOTATIONS, max_size=4).map(
+        lambda data: RelationValue(schema, data)
+    )
+
+
+OPERANDS = st.one_of(
+    st.sampled_from(SCHEMAS).flatmap(annotated), st.just(_ZERO), st.just(_ONE)
+)
+
+
+def bits(value):
+    """Schema and annotations in key order, floats by their exact bits."""
+    return value.schema, [
+        (key, type(ann).__name__, ann.hex() if isinstance(ann, float) else ann)
+        for key, ann in value.data.items()
+    ]
+
+
+def singletons_intact():
+    return bits(_ZERO) == (None, []) and bits(_ONE) == ((), [((), "int", 1)])
+
+
+def wrap(schema, data):
+    value = RelationValue.__new__(RelationValue)
+    value.data = data
+    value.schema = schema if data else None
+    return value
+
+
+def reference_mul(a, b):
+    """The natural join as a nested loop over plain dicts."""
+    if not a.data or not b.data:
+        return RelationValue()
+    schema = tuple(sorted(set(a.schema) | set(b.schema)))
+    shared = [attr for attr in b.schema if attr in a.schema]
+    data = {}
+    for key_a, ann_a in a.data.items():
+        row_a = dict(zip(a.schema, key_a))
+        for key_b, ann_b in b.data.items():
+            row_b = dict(zip(b.schema, key_b))
+            if any(row_a[attr] != row_b[attr] for attr in shared):
+                continue
+            row = {**row_b, **row_a}
+            key = tuple(row[attr] for attr in schema)
+            total = data.get(key, 0) + ann_a * ann_b
+            if total == 0:
+                data.pop(key, None)
+            else:
+                data[key] = total
+    return wrap(schema, data)
+
+
+def reference_add(a, b):
+    """Union with summed annotations, cancelled keys dropped."""
+    data = dict(a.data)
+    for key, ann in b.data.items():
+        total = data.get(key, 0) + ann
+        if total == 0:
+            data.pop(key, None)
+        else:
+            data[key] = total
+    return wrap(a.schema if a.data else b.schema, data)
+
+
+TINY = RelationValue.scalar(1e-200)
+TINY_X = RelationValue(("X",), {(0,): 1e-170, (1,): 0.5})
+
+
+@given(OPERANDS, OPERANDS)
+@example(TINY, TINY_X)  # (0,) underflows to 0 and is dropped
+@example(TINY_X, TINY)
+@example(TINY, TINY)  # the whole product underflows
+def test_mul_is_the_reference_join_bit_for_bit(a, b):
+    ring = RelationRing()
+    before = bits(a), bits(b)
+    product = ring.mul(a, b)
+    assert bits(product) == bits(reference_mul(a, b))
+    assert (bits(a), bits(b)) == before
+    assert singletons_intact()
+    if product is not _ZERO:
+        assert product.data is not a.data and product.data is not b.data
+
+
+@given(
+    st.sampled_from(SCHEMAS).flatmap(
+        lambda schema: st.tuples(annotated(schema), annotated(schema))
+    )
+)
+@example((TINY_X, RelationValue(("X",), {(0,): -1e-170, (1,): 0.1})))
+def test_add_and_add_inplace_are_the_reference_union(pair):
+    a, b = pair
+    ring = RelationRing()
+    before = bits(a), bits(b)
+    expected = bits(reference_add(a, b))
+    assert bits(ring.add(a, b)) == expected
+    assert (bits(a), bits(b)) == before
+    assert bits(ring.add_inplace(ring.copy(a), b)) == expected
+    assert (bits(a), bits(b)) == before
+    for singleton in (_ZERO, _ONE):
+        if singleton.schema == b.schema or not b.data:
+            ring.add_inplace(singleton, b)
+    assert singletons_intact()
+
+
+@given(st.dictionaries(st.integers(0, 3), OPERANDS, max_size=4), OPERANDS)
+@example({0: TINY_X, 1: TINY, 2: _ONE}, TINY)
+@example({0: TINY_X, 1: _ONE, 2: _ZERO}, _ONE)
+def test_mul_entries_is_the_entrywise_join(entries, factor):
+    ring = RelationRing()
+    before = [(key, bits(value)) for key, value in entries.items()], bits(factor)
+    expected = {}
+    for key, value in entries.items():
+        product = reference_mul(value, factor)
+        if product.data:
+            expected[key] = bits(product)
+    scaled = ring.mul_entries(entries, factor)
+    assert {key: bits(value) for key, value in scaled.items()} == expected
+    assert list(scaled) == list(expected)
+    assert ([(key, bits(value)) for key, value in entries.items()], bits(factor)) == before
+    assert singletons_intact()
+    shared = {id(value.data) for value in entries.values()} | {id(factor.data)}
+    assert not shared & {id(value.data) for value in scaled.values()}

@@ -202,6 +202,31 @@ class TestHTTPTransport:
         finally:
             server.stop()
 
+    def test_unexpected_exception_answers_500_on_open_connection(self, monkeypatch):
+        _, _, app = scenario_app("covar", apply_events=60)
+
+        def broken(snapshot):
+            raise ZeroDivisionError("model refresh failed")
+
+        monkeypatch.setattr(app, "_covar_endpoint", broken)
+        server = self.start(app)
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            try:
+                conn.request("GET", "/covar")
+                response = conn.getresponse()
+                assert response.status == 500
+                assert json.loads(response.read()) == {
+                    "error": "ZeroDivisionError: model refresh failed"
+                }
+                conn.request("GET", "/healthz")
+                assert conn.getresponse().status == 200
+            finally:
+                conn.close()
+        finally:
+            server.stop()
+        assert app.errors == 1
+
     def test_non_get_methods_405(self):
         _, _, app = scenario_app("covar", apply_events=60)
         server = self.start(app)
